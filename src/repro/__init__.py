@@ -14,8 +14,7 @@ Core algorithms (the paper's contribution)
     :func:`~repro.core.timeindexed.solve_time_indexed_lp` (Section 3 /
     Appendix A), :func:`~repro.core.stretch.run_stretch` (Section 4.1),
     :func:`~repro.core.heuristic.lp_heuristic_schedule` (Section 6.2),
-    :class:`~repro.core.scheduler.CoflowScheduler` /
-    :func:`~repro.core.scheduler.solve_coflow_schedule` (façade).
+    :class:`~repro.core.scheduler.CoflowScheduler` (façade).
 Unified solver API
     :func:`~repro.api.solve` / :func:`~repro.api.solve_many` dispatch any
     registered algorithm (core or baseline) and return one common
@@ -47,11 +46,9 @@ from repro.schedule import (
 from repro.core import (
     CoflowLPSolution,
     CoflowScheduler,
-    SchedulingOutcome,
     evaluate_stretch,
     lp_heuristic_schedule,
     run_stretch,
-    solve_coflow_schedule,
     solve_multipath_lp,
     solve_time_indexed_lp,
     suggest_horizon,
@@ -87,13 +84,11 @@ __all__ = [
     "weighted_completion_time",
     "CoflowLPSolution",
     "CoflowScheduler",
-    "SchedulingOutcome",
     "solve_time_indexed_lp",
     "suggest_horizon",
     "run_stretch",
     "evaluate_stretch",
     "lp_heuristic_schedule",
-    "solve_coflow_schedule",
     "solve_multipath_lp",
     "online_batch_schedule",
     "api",

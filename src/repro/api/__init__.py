@@ -17,13 +17,17 @@ Components
   (:func:`register_algorithm`, :func:`available_algorithms`, capability
   flags such as ``supported_models``).
 * :mod:`~repro.api.request` — :class:`SolverConfig` / :class:`SolveRequest`
-  input objects gathering grid/ε/rng/backend/sampling knobs in one place.
+  input objects gathering grid/ε/rng/strategy/sampling knobs in one place.
 * :mod:`~repro.api.report` — the common :class:`SolveReport` result type.
 * :mod:`~repro.api.batch` — :func:`solve` and the parallel batch runner
   :func:`solve_many` with shared-LP reuse across algorithms.
 
-Legacy entry points (:func:`repro.core.scheduler.solve_coflow_schedule`,
-the per-baseline ``*_schedule`` functions) remain available as thin shims.
+:func:`solve` is the one entry point for a single instance.  The
+per-baseline ``*_schedule`` functions of :mod:`repro.baselines` remain the
+implementations the registry wraps, and
+:class:`~repro.core.scheduler.CoflowScheduler` is the façade behind the
+paper's own algorithms; both return or feed the one result type,
+:class:`SolveReport`.
 """
 
 from repro.api import algorithms as _algorithms  # noqa: F401 - registers built-ins

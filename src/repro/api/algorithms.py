@@ -63,7 +63,6 @@ def _scheduler(
         verify=config.verify,
         solver_method=config.solver_method,
         strategy=config.strategy,
-        backend=config.backend,
         lp_solution=lp_solution,
     )
 
@@ -82,8 +81,7 @@ def _solve_lp_heuristic(
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
     scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.heuristic(compact=config.compact)
-    return SolveReport.from_outcome(outcome, instance)
+    return scheduler.heuristic(compact=config.compact)
 
 
 @register_algorithm(
@@ -98,8 +96,7 @@ def _solve_stretch(
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
     scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.stretch(compact=config.compact)
-    return SolveReport.from_outcome(outcome, instance)
+    return scheduler.stretch(compact=config.compact)
 
 
 @register_algorithm(
@@ -114,10 +111,9 @@ def _solve_stretch_best(
     lp_solution: Optional[CoflowLPSolution] = None,
 ) -> SolveReport:
     scheduler = _scheduler(instance, config, lp_solution)
-    outcome = scheduler.best_stretch(
+    return scheduler.best_stretch(
         num_samples=config.num_samples, compact=config.compact
     )
-    return SolveReport.from_outcome(outcome, instance)
 
 
 @register_algorithm(

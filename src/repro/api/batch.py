@@ -125,6 +125,7 @@ def _solve_instance_batch(
                 slot_length=config.slot_length,
                 epsilon=config.epsilon,
                 solver_method=config.solver_method,
+                strategy=config.strategy,
             )
         reports = [
             solve(instance, info.name, config=config, lp_solution=shared)

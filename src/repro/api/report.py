@@ -1,12 +1,12 @@
 """The unified result type of the solver API.
 
 Every algorithm reachable through :mod:`repro.api` — the paper's LP-based
-algorithms *and* the four comparison baselines — returns a
-:class:`SolveReport`.  It unifies what :class:`~repro.core.scheduler.SchedulingOutcome`
-and :class:`~repro.baselines.result.BaselineResult` used to report
-separately: the objective, per-coflow completion times, the LP lower bound
-and gap when an LP was solved, the slot schedule and feasibility report when
-one exists, plus free-form extras.
+algorithms *and* the comparison baselines — returns a :class:`SolveReport`:
+the objective, per-coflow completion times, the LP lower bound and gap when
+an LP was solved, the slot schedule and feasibility report when one exists,
+plus free-form extras.  :class:`~repro.core.scheduler.CoflowScheduler`
+builds it for the paper's algorithms; :meth:`SolveReport.from_baseline`
+wraps a :class:`~repro.baselines.result.BaselineResult`.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.schedule.schedule import Schedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.baselines.result import BaselineResult
-    from repro.core.scheduler import SchedulingOutcome
 
 
 @dataclass
@@ -107,7 +106,7 @@ class SolveReport:
 
         A JSON-safe dict recorded by
         :func:`repro.core.timeindexed.solve_time_indexed_lp`: the strategy
-        (``direct``/``refine``/``coarsen``), per-stage wall time, simplex
+        (``direct``/``refine``), per-stage wall time, simplex
         iteration counts and warm-start provenance.  ``None`` for baselines
         that never solved the time-indexed LP.
         """
@@ -162,32 +161,6 @@ class SolveReport:
     # conversions
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_outcome(
-        cls,
-        outcome: "SchedulingOutcome",
-        instance: CoflowInstance,
-        *,
-        solve_seconds: Optional[float] = None,
-    ) -> "SolveReport":
-        """Wrap a legacy :class:`SchedulingOutcome` (core algorithms)."""
-        if outcome.schedule is not None:
-            times = outcome.schedule.coflow_completion_times()
-        else:
-            times = outcome.lp_solution.completion_times
-        return cls(
-            algorithm=outcome.algorithm,
-            instance=instance,
-            objective=outcome.objective,
-            coflow_completion_times=times,
-            lower_bound=outcome.lower_bound,
-            lp_solution=outcome.lp_solution,
-            schedule=outcome.schedule,
-            feasibility=outcome.feasibility,
-            solve_seconds=solve_seconds,
-            extras=dict(outcome.extras),
-        )
-
-    @classmethod
     def from_baseline(
         cls,
         result: "BaselineResult",
@@ -196,7 +169,7 @@ class SolveReport:
         lp_solution: Optional[CoflowLPSolution] = None,
         solve_seconds: Optional[float] = None,
     ) -> "SolveReport":
-        """Wrap a legacy :class:`BaselineResult` (comparison baselines)."""
+        """Wrap a :class:`BaselineResult` (comparison baselines)."""
         return cls(
             algorithm=result.algorithm,
             instance=result.instance,
@@ -207,31 +180,4 @@ class SolveReport:
             schedule=result.schedule,
             solve_seconds=solve_seconds,
             extras=dict(result.metadata),
-        )
-
-    def to_outcome(self) -> "SchedulingOutcome":
-        """The legacy :class:`SchedulingOutcome` view (deprecation shims).
-
-        Only available for reports that carry an LP solution, which the
-        legacy type requires.
-        """
-        from repro.core.scheduler import SchedulingOutcome
-
-        if self.lp_solution is None:
-            raise ValueError(
-                f"report for {self.algorithm!r} has no LP solution; "
-                "SchedulingOutcome requires one"
-            )
-        return SchedulingOutcome(
-            algorithm=self.algorithm,
-            objective=self.objective,
-            lower_bound=(
-                self.lower_bound
-                if self.lower_bound is not None
-                else self.lp_solution.objective
-            ),
-            lp_solution=self.lp_solution,
-            schedule=self.schedule,
-            feasibility=self.feasibility,
-            extras=dict(self.extras),
         )

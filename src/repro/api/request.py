@@ -1,8 +1,8 @@
 """Input objects of the unified solver API.
 
 :class:`SolverConfig` gathers every knob that used to be scattered across
-``CoflowScheduler``, ``solve_coflow_schedule`` and the baseline entry points
-(time grid, ε, λ-sampling, LP backend, randomness, verification) into one
+``CoflowScheduler`` and the baseline entry points (time grid, ε,
+λ-sampling, LP method and strategy, randomness, verification) into one
 immutable value object, and :class:`SolveRequest` pairs a config with an
 instance and an algorithm name — the unit of work of
 :func:`repro.api.solve_many`.
@@ -43,14 +43,9 @@ class SolverConfig:
         scipy ``linprog`` backend for every LP solve (``"highs"`` default).
     strategy:
         Staged-solve strategy for the time-indexed LP: ``"direct"`` (one
-        cold solve), ``"refine"`` (geometric stage warm-starts the fine
-        grid) or ``"coarsen"`` (dual-guided adaptive grid with an explicit
-        (1+ε) guarantee).  See
+        cold solve) or ``"refine"`` (geometric stage warm-starts the fine
+        grid; same optimum).  See
         :func:`repro.core.timeindexed.solve_time_indexed_lp`.
-    backend:
-        Solver backend selector (``"auto"``, ``"linprog"`` or
-        ``"persistent-highs"``); ``"auto"`` uses the resident HiGHS backend
-        when available and falls back to ``linprog`` otherwise.
     num_samples:
         Number of λ draws for ``stretch-best`` / ``stretch-average``.
     compact:
@@ -66,7 +61,6 @@ class SolverConfig:
     rng: RandomSource = None
     solver_method: str = "highs"
     strategy: str = "direct"
-    backend: str = "auto"
     num_samples: int = DEFAULT_NUM_SAMPLES
     compact: bool = True
     verify: bool = True

@@ -67,6 +67,7 @@ from repro.api import (
     solve_many,
 )
 from repro.coflow.instance import CoflowInstance
+from repro.core.timeindexed import SOLVE_STRATEGIES
 from repro.experiments.export import write_csv, write_json
 from repro.experiments.figures import ALL_EXPERIMENTS, get_experiment
 from repro.experiments.reporting import format_result_table, summarize_shape_checks
@@ -111,15 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--solver-method", default="highs")
     solve_cmd.add_argument(
         "--strategy",
-        choices=["direct", "refine", "coarsen"],
+        choices=SOLVE_STRATEGIES,
         default="direct",
         help="staged LP solve strategy (see repro.core.timeindexed)",
-    )
-    solve_cmd.add_argument(
-        "--backend",
-        choices=["auto", "linprog", "persistent-highs"],
-        default="auto",
-        help="LP solver backend (auto falls back to linprog without HiGHS)",
     )
     solve_cmd.add_argument("--seed", type=int, default=0)
 
@@ -139,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--solver-method", default="highs")
     batch.add_argument(
         "--strategy",
-        choices=["direct", "refine", "coarsen"],
+        choices=SOLVE_STRATEGIES,
         default="direct",
         help="staged LP solve strategy (see repro.core.timeindexed)",
     )
@@ -525,9 +520,8 @@ def _cmd_solve(args, out) -> int:
             num_samples=args.num_samples,
             solver_method=args.solver_method,
             strategy=args.strategy,
-            backend=args.backend,
         )
-    except ValueError as exc:  # model mismatch, bad backend, ...
+    except ValueError as exc:  # model mismatch, bad solver method, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     bound = "n/a" if report.lower_bound is None else f"{report.lower_bound:.3f}"
@@ -701,6 +695,7 @@ def _cmd_sweep(args, out) -> int:
     from repro.fabric import (
         ChaosInjector,
         ChaosSpec,
+        StartBarrier,
         launch_workers,
         merged_status,
         run_worker,
@@ -761,6 +756,8 @@ def _cmd_sweep(args, out) -> int:
                 ttl=args.ttl,
                 backoff=backoff,
                 chaos=chaos_spec,
+                # Set by --launch: wait for the whole fleet before claiming.
+                barrier=StartBarrier.from_env(),
             )
         except (OSError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)

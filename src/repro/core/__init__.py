@@ -7,8 +7,8 @@
   Section 4.1 (2-approximation, Theorem 4.4).
 * :mod:`repro.core.heuristic` — the LP-based heuristic of Section 6.2
   (take the LP schedule directly, i.e. λ = 1) plus idle-slot compaction.
-* :mod:`repro.core.scheduler` — a one-call façade over model × algorithm ×
-  time grid, returning schedules together with the LP lower bound.
+* :mod:`repro.core.scheduler` — a façade over model × algorithm × time
+  grid, returning schedules together with the LP lower bound.
 """
 
 from repro.core.timeindexed import (
@@ -26,7 +26,7 @@ from repro.core.stretch import (
 )
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.multipath import assign_candidate_paths, solve_multipath_lp
-from repro.core.scheduler import CoflowScheduler, SchedulingOutcome, solve_coflow_schedule
+from repro.core.scheduler import CoflowScheduler
 
 __all__ = [
     "assign_candidate_paths",
@@ -42,6 +42,4 @@ __all__ = [
     "stretch_fractions",
     "lp_heuristic_schedule",
     "CoflowScheduler",
-    "SchedulingOutcome",
-    "solve_coflow_schedule",
 ]

@@ -1,19 +1,18 @@
-"""High-level façade: one call from instance to schedule.
+"""High-level façade: one object from instance to schedule.
 
 :class:`CoflowScheduler` wraps the LP solve (cached), the Stretch algorithm,
-the LP heuristic and the λ-sampling evaluation behind a small object, and
-:func:`solve_coflow_schedule` offers a single-function entry point used by
-the examples and the experiment harness.
+the LP heuristic and the λ-sampling evaluation behind a small object whose
+algorithm methods return :class:`~repro.api.report.SolveReport`.  The
+registered ``lp-heuristic``/``stretch*`` algorithms of :mod:`repro.api` are
+thin wrappers over it; :func:`repro.api.solve` is the one-call entry point.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-import numpy as np
-
+from repro.api.report import SolveReport
 from repro.coflow.instance import CoflowInstance
 from repro.core.heuristic import lp_heuristic_schedule
 from repro.core.stretch import (
@@ -28,15 +27,12 @@ from repro.core.timeindexed import (
     resolve_grid,
     solve_time_indexed_lp,
 )
-from repro.schedule.feasibility import FeasibilityReport, check_feasibility
+from repro.schedule.feasibility import check_feasibility
 from repro.schedule.schedule import Schedule
 from repro.schedule.timegrid import TimeGrid
 from repro.utils.rng import RandomSource, as_generator
 
 logger = logging.getLogger(__name__)
-
-#: Algorithms understood by :func:`solve_coflow_schedule`.
-ALGORITHMS = ("lp-heuristic", "stretch", "stretch-average", "stretch-best")
 
 
 def _grid_key(grid: TimeGrid) -> str:
@@ -48,46 +44,6 @@ def _grid_key(grid: TimeGrid) -> str:
     things in different caches.
     """
     return grid.boundary_digest()
-
-
-@dataclass
-class SchedulingOutcome:
-    """The result of scheduling an instance with one algorithm.
-
-    Attributes
-    ----------
-    algorithm:
-        Name of the algorithm that produced the schedule.
-    schedule:
-        The feasible schedule (``None`` only for aggregate-only outcomes).
-    objective:
-        Weighted completion time of the schedule (or the reported aggregate
-        for ``stretch-average``).
-    lower_bound:
-        The LP objective — a lower bound on the optimum (paper Eq. 11).
-    lp_solution:
-        The underlying LP solution.
-    feasibility:
-        Feasibility report of the returned schedule, when one was checked.
-    extras:
-        Algorithm-specific data (e.g. the sampled λ, the full stretch
-        evaluation).
-    """
-
-    algorithm: str
-    objective: float
-    lower_bound: float
-    lp_solution: CoflowLPSolution
-    schedule: Optional[Schedule] = None
-    feasibility: Optional[FeasibilityReport] = None
-    extras: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def gap(self) -> float:
-        """Objective divided by the LP lower bound."""
-        if self.lower_bound <= 0:
-            return float("inf")
-        return self.objective / self.lower_bound
 
 
 class CoflowScheduler:
@@ -110,15 +66,13 @@ class CoflowScheduler:
         Random source for λ sampling.
     verify:
         When true (default), every produced schedule is checked for
-        feasibility and the report attached to the outcome.
+        feasibility and the check attached to the report.
     solver_method:
-        scipy ``linprog`` backend used for the LP solve.
+        scipy ``linprog`` method used for the LP solve.
     strategy:
-        Staged-solve strategy for the time-indexed LP (``"direct"``,
-        ``"refine"`` or ``"coarsen"``; see
+        Staged-solve strategy for the time-indexed LP (``"direct"`` or
+        ``"refine"``; see
         :func:`repro.core.timeindexed.solve_time_indexed_lp`).
-    backend:
-        Solver backend selector passed through to the staged pipeline.
     lp_solution:
         A previously solved LP solution for *instance*, seeding the cache so
         several algorithms (or several schedulers) can share one LP solve.
@@ -136,7 +90,6 @@ class CoflowScheduler:
         verify: bool = True,
         solver_method: str = "highs",
         strategy: str = "direct",
-        backend: str = "auto",
         lp_solution: Optional[CoflowLPSolution] = None,
     ) -> None:
         if lp_solution is not None and lp_solution.instance is not instance:
@@ -150,7 +103,6 @@ class CoflowScheduler:
         self._verify = verify
         self._solver_method = solver_method
         self._strategy = strategy
-        self._backend = backend
         # The LP cache is keyed on the *actual* grid the LP was built on, so
         # a seeded (shared) solution is only reused when this scheduler's own
         # grid parameters resolve to the same grid — a request that differs
@@ -204,7 +156,6 @@ class CoflowScheduler:
                 grid=grid,
                 solver_method=self._solver_method,
                 strategy=self._strategy,
-                backend=self._backend,
             )
             self._lp_solutions[key] = solution
         return solution
@@ -217,42 +168,42 @@ class CoflowScheduler:
     # ------------------------------------------------------------------ #
     # algorithms
     # ------------------------------------------------------------------ #
-    def _outcome(
+    def _report(
         self,
         algorithm: str,
         schedule: Schedule,
-        extras: Optional[Dict[str, object]] = None,
-    ) -> SchedulingOutcome:
+        extras: Dict[str, object],
+    ) -> SolveReport:
         lp_solution = self.solve_lp()
         feasibility = None
         if self._verify:
             feasibility = check_feasibility(schedule)
             feasibility.raise_if_infeasible()
-        return SchedulingOutcome(
+        return SolveReport(
             algorithm=algorithm,
+            instance=self.instance,
             objective=schedule.weighted_completion_time(),
+            coflow_completion_times=schedule.coflow_completion_times(),
             lower_bound=lp_solution.objective,
             lp_solution=lp_solution,
             schedule=schedule,
             feasibility=feasibility,
-            extras=dict(extras or {}),
+            extras=extras,
         )
 
-    def heuristic(self, *, compact: bool = True) -> SchedulingOutcome:
+    def heuristic(self, *, compact: bool = True) -> SolveReport:
         """The LP-based heuristic (λ = 1) of Section 6.2."""
         schedule = lp_heuristic_schedule(self.solve_lp(), compact=compact)
-        return self._outcome("lp-heuristic", schedule, {"lambda": 1.0})
+        return self._report("lp-heuristic", schedule, {"lambda": 1.0})
 
     def stretch(
         self, *, lam: Optional[float] = None, compact: bool = True
-    ) -> SchedulingOutcome:
+    ) -> SolveReport:
         """One run of the randomized Stretch algorithm (Section 4.1)."""
         result: StretchResult = run_stretch(
             self.solve_lp(), lam=lam, rng=self._rng, compact=compact
         )
-        return self._outcome(
-            "stretch", result.schedule, {"lambda": result.lam}
-        )
+        return self._report("stretch", result.schedule, {"lambda": result.lam})
 
     def stretch_evaluation(
         self,
@@ -270,64 +221,12 @@ class CoflowScheduler:
         *,
         num_samples: int = DEFAULT_NUM_SAMPLES,
         compact: bool = True,
-    ) -> SchedulingOutcome:
+    ) -> SolveReport:
         """The best schedule over *num_samples* λ draws ("Best λ")."""
         evaluation = self.stretch_evaluation(num_samples=num_samples, compact=compact)
         best = evaluation.best_result
-        outcome = self._outcome(
-            "stretch-best", best.schedule, {"lambda": best.lam}
+        return self._report(
+            "stretch-best",
+            best.schedule,
+            {"lambda": best.lam, "evaluation": evaluation},
         )
-        outcome.extras["evaluation"] = evaluation
-        return outcome
-
-
-def solve_coflow_schedule(
-    instance: CoflowInstance,
-    *,
-    algorithm: str = "lp-heuristic",
-    grid: Optional[TimeGrid] = None,
-    num_slots: Optional[int] = None,
-    slot_length: float = 1.0,
-    epsilon: Optional[float] = None,
-    rng: RandomSource = None,
-    compact: bool = True,
-    num_samples: int = DEFAULT_NUM_SAMPLES,
-    verify: bool = True,
-    solver_method: str = "highs",
-) -> SchedulingOutcome:
-    """One-call entry point: schedule *instance* with the chosen algorithm.
-
-    .. deprecated::
-        This is a thin shim over :func:`repro.api.solve`, kept for backward
-        compatibility; it only reaches the paper's own algorithms.  New code
-        should use :mod:`repro.api`, which also exposes the baselines, the
-        algorithm registry and the parallel batch runner, and returns the
-        unified :class:`~repro.api.report.SolveReport`.
-
-    Parameters
-    ----------
-    algorithm:
-        ``"lp-heuristic"`` (default), ``"stretch"`` (one random λ),
-        ``"stretch-best"`` (best of *num_samples* λ draws) or
-        ``"stretch-average"`` (reports the mean objective over the draws;
-        the returned schedule is the best one).
-    Remaining parameters are forwarded to :class:`CoflowScheduler`.
-    """
-    from repro.api import SolverConfig, solve
-
-    if algorithm not in ALGORITHMS:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
-        )
-    config = SolverConfig(
-        grid=grid,
-        num_slots=num_slots,
-        slot_length=slot_length,
-        epsilon=epsilon,
-        rng=rng,
-        solver_method=solver_method,
-        num_samples=num_samples,
-        compact=compact,
-        verify=verify,
-    )
-    return solve(instance, algorithm, config=config).to_outcome()

@@ -32,7 +32,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.lp.backends import BACKEND_NAMES, LPSpec, get_backend
+from repro.lp.backends import LPSpec, get_backend
 from repro.lp.model import ConstraintSense, LinearProgram
 from repro.lp.result import LPResult
 from repro.lp.solver import solve_lp
@@ -211,23 +211,12 @@ class CoflowLPSolution:
 
 @dataclass
 class _LPIndexBundle:
-    """Variable-index arrays for one assembled coflow LP.
-
-    ``capacity_ub_offset`` / ``capacity_row_slots`` locate the per-edge
-    bandwidth rows (Eq. 6 / Eq. 10) inside the inequality block:
-    ``ub_duals[capacity_ub_offset + k]`` is the dual of a capacity row whose
-    slot is ``capacity_row_slots[k]``.  Dual-guided coarsening reads these
-    to decide which slots are binding.
-    """
+    """Variable-index arrays for one assembled coflow LP."""
 
     x: np.ndarray  # (num_flows, T)
     big_x: np.ndarray  # (num_coflows, T)
     c: np.ndarray  # (num_coflows,)
     y: Optional[np.ndarray]  # (num_flows, T, E) or None
-    capacity_ub_offset: int = 0
-    capacity_row_slots: np.ndarray = field(
-        default_factory=lambda: np.empty(0, dtype=np.int64)
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -336,21 +325,11 @@ def build_time_indexed_lp(
     # ------------------------ model-specific part ----------------------- #
     if free_path:
         assert y_idx is not None
-        cap_offset, cap_slots = _add_free_path_constraints(
-            lp, instance, grid, x_idx, y_idx
-        )
+        _add_free_path_constraints(lp, instance, grid, x_idx, y_idx)
     else:
-        cap_offset, cap_slots = _add_single_path_constraints(lp, instance, grid, x_idx)
+        _add_single_path_constraints(lp, instance, grid, x_idx)
 
-    bundle = _LPIndexBundle(
-        x=x_idx,
-        big_x=big_x_idx,
-        c=c_idx,
-        y=y_idx,
-        capacity_ub_offset=cap_offset,
-        capacity_row_slots=cap_slots,
-    )
-    return lp, bundle
+    return lp, _LPIndexBundle(x=x_idx, big_x=big_x_idx, c=c_idx, y=y_idx)
 
 
 def _add_single_path_constraints(
@@ -358,27 +337,24 @@ def _add_single_path_constraints(
     instance: CoflowInstance,
     grid: TimeGrid,
     x_idx: np.ndarray,
-) -> tuple[int, np.ndarray]:
+) -> None:
     """Edge bandwidth constraints along pinned paths (paper Eq. 6 / 19).
 
     Built from the cached flow→edge incidence of the instance: entry *k* of
     the incidence contributes one coefficient per slot, giving row
-    ``rank(edge_k) * T + t`` directly by arithmetic.  Returns the capacity
-    block's offset within the inequality rows plus each row's slot index
-    (for dual-guided coarsening).
+    ``rank(edge_k) * T + t`` directly by arithmetic.
     """
     graph = instance.graph
     capacities = graph.capacity_vector()
     durations = grid.durations
     num_slots = grid.num_slots
-    offset = lp.num_inequality_constraints
 
     try:
         inc_flows, inc_edges = instance.path_edge_incidence()
     except ValueError as exc:
         raise ValueError(str(exc).replace("path incidence", "single path LP")) from exc
     if inc_flows.size == 0:
-        return offset, np.empty(0, dtype=np.int64)
+        return
 
     # Stable sort groups incidence entries by edge while preserving the
     # flow-insertion order within each edge (matching the loop reference).
@@ -393,8 +369,6 @@ def _add_single_path_constraints(
     vals = np.repeat(instance.demands()[inc_flows], num_slots)
     rhs = (capacities[used_edges][:, None] * durations[None, :]).reshape(-1)
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
-    # Row layout is edge-major: local row k covers slot k % num_slots.
-    return offset, np.tile(slot_range, used_edges.size)
 
 
 def _add_free_path_constraints(
@@ -403,7 +377,7 @@ def _add_free_path_constraints(
     grid: TimeGrid,
     x_idx: np.ndarray,
     y_idx: np.ndarray,
-) -> tuple[int, np.ndarray]:
+) -> None:
     """Multicommodity-flow constraints of the free path model (Eqs. 7–10 / 20–23).
 
     In addition to the paper's constraints we fix ``y = 0`` on edges entering
@@ -529,7 +503,6 @@ def _add_free_path_constraints(
         )
 
     # Eq. (10): edge bandwidths.  Row (t, e) sums y over all flows.
-    offset = lp.num_inequality_constraints
     demands = instance.demands()
     te_range = np.arange(num_slots * num_edges, dtype=np.int64)
     rows = np.repeat(te_range, num_flows)
@@ -541,26 +514,19 @@ def _add_free_path_constraints(
     vals = np.tile(demands, num_slots * num_edges)
     rhs = (durations[:, None] * capacities[None, :]).reshape(-1)
     lp.add_constraints_batch(rows, cols, vals, rhs, ConstraintSense.LESS_EQUAL)
-    # Row layout is slot-major: local row k covers slot k // num_edges.
-    return offset, np.repeat(slot_range, num_edges)
 
 
 # --------------------------------------------------------------------------- #
 # staged solve pipeline
 # --------------------------------------------------------------------------- #
 #: Recognised values of the ``strategy`` knob of :func:`solve_time_indexed_lp`.
-SOLVE_STRATEGIES = ("direct", "refine", "coarsen")
+SOLVE_STRATEGIES = ("direct", "refine")
 
-#: Epsilon of the cheap geometric stage the "refine"/"coarsen" strategies
-#: solve first.  0.2 keeps the coarse LP an order of magnitude smaller than
-#: typical fine uniform grids while staying close enough that the mapped
-#: primal point seeds the fine solve well.
-DEFAULT_STAGE_EPSILON = 0.2
-
-#: A coarse slot counts as *binding* for dual-guided coarsening when its
-#: largest capacity-row dual magnitude exceeds this fraction of the largest
-#: capacity dual anywhere; slots below it stay merged.
-DEFAULT_COARSEN_THRESHOLD = 1e-6
+#: Epsilon of the cheap geometric stage the "refine" strategy solves first.
+#: 0.2 keeps the coarse LP an order of magnitude smaller than typical fine
+#: uniform grids while staying close enough that the mapped primal point
+#: seeds the fine solve well.
+STAGE_EPSILON = 0.2
 
 
 def map_solution_to_grid(
@@ -612,74 +578,41 @@ def _stage_entry(
     }
 
 
-def _backend_lp_result(lp: LinearProgram, solution) -> LPResult:
-    """Shape a :class:`~repro.lp.backends.base.BackendSolution` as an LPResult."""
-    return LPResult(
-        status=solution.status,
-        objective=solution.objective,
-        x=solution.x,
-        solve_seconds=solution.solve_seconds,
-        message=solution.message,
-        metadata={**lp.size_summary(), "warm_start": "primal-seeded"},
-        simplex_iterations=solution.simplex_iterations,
-        ub_duals=solution.ub_duals,
-        eq_duals=solution.eq_duals,
-    )
-
-
 def _warm_solve(
     lp: LinearProgram,
     warm_primal: np.ndarray,
     *,
-    backend: str,
     solver_method: str,
     time_limit: Optional[float],
 ) -> tuple[LPResult, bool]:
     """Solve *lp* seeded with *warm_primal*, falling back to a cold solve.
 
-    Returns ``(result, warm_used)``.  The fallback (backend without
-    warm-start support, or a seeded solve that did not reach optimality)
-    goes through :func:`solve_lp`, i.e. exactly the "direct" path — the
-    staged pipeline can only ever change *how fast* the optimum is found.
+    Returns ``(result, warm_used)``.  The fallback (no warm-start capable
+    backend on this platform, or a seeded solve that did not reach
+    optimality) goes through :func:`solve_lp`, i.e. exactly the "direct"
+    path — the staged pipeline can only ever change *how fast* the optimum
+    is found.
     """
-    backend_obj = get_backend(backend, method=solver_method)
-    if backend_obj.supports_warm_start:
-        solution = backend_obj.solve(
+    backend = get_backend("auto", method=solver_method)
+    if backend.supports_warm_start:
+        solution = backend.solve(
             LPSpec.from_program(lp), time_limit=time_limit, warm_primal=warm_primal
         )
         if solution.is_optimal:
-            return _backend_lp_result(lp, solution), True
+            result = LPResult(
+                status=solution.status,
+                objective=solution.objective,
+                x=solution.x,
+                solve_seconds=solution.solve_seconds,
+                message=solution.message,
+                metadata={**lp.size_summary(), "warm_start": "primal-seeded"},
+                simplex_iterations=solution.simplex_iterations,
+            )
+            return result, True
     result = solve_lp(
         lp, method=solver_method, time_limit=time_limit, require_optimal=True
     )
     return result, False
-
-
-def _coarsen_boundaries(
-    fine: TimeGrid,
-    coarse: TimeGrid,
-    binding: np.ndarray,
-) -> np.ndarray:
-    """Boundaries of the dual-guided adaptive grid.
-
-    Keeps every coarse boundary and splits only the *binding* coarse slots
-    by re-inserting the fine boundaries they contain.  Because the result
-    refines the coarse geometric grid slot-by-slot, the coarse grid's
-    (1+ε) interval-indexed guarantee (Appendix A) carries over: splitting
-    a slot only tightens the LP relaxation.
-    """
-    interior = fine.boundaries[1:-1]
-    # Coarse slot containing each interior fine boundary b: (b_{j} < b <= b_{j+1}).
-    tol = 1e-12 * np.maximum(1.0, interior)
-    owner = np.searchsorted(coarse.boundaries, interior - tol, side="left") - 1
-    owner = np.clip(owner, 0, coarse.num_slots - 1)
-    keep = interior[binding[owner]]
-    merged = np.concatenate([coarse.boundaries, keep])
-    merged = np.unique(np.round(merged, 9))
-    # Drop near-duplicate boundaries the rounding left distinct.
-    deltas = np.diff(merged)
-    mask = np.concatenate([[True], deltas > 1e-9 * np.maximum(1.0, merged[1:])])
-    return merged[mask]
 
 
 def _solve_direct(
@@ -738,9 +671,6 @@ def solve_time_indexed_lp(
     solver_method: str = "highs",
     time_limit: Optional[float] = None,
     strategy: str = "direct",
-    backend: str = "auto",
-    stage_epsilon: float = DEFAULT_STAGE_EPSILON,
-    coarsen_threshold: float = DEFAULT_COARSEN_THRESHOLD,
 ) -> CoflowLPSolution:
     """Build and solve the coflow LP for *instance*.
 
@@ -758,19 +688,12 @@ def solve_time_indexed_lp(
         One cold solve on the resolved grid (historical behaviour).
     ``"refine"``
         Progressive grid refinement: solve a cheap geometric grid
-        (*stage_epsilon*) first, spread its optimum onto the resolved grid
-        (:func:`map_solution_to_grid`) and warm-start the fine solve from
-        that primal seed.  Identical optimum, typically far fewer simplex
-        iterations.  Degrades to "direct" when the resolved grid is not
-        meaningfully finer than the geometric stage, or when the selected
-        *backend* cannot warm-start.
-    ``"coarsen"``
-        Dual-guided slot coarsening: solve the geometric stage, inspect its
-        capacity-row duals and re-solve on an adaptive grid that re-splits
-        only the binding slots.  The result lives on the adaptive grid
-        (``solution.grid``) and retains the geometric stage's explicit
-        (1 + *stage_epsilon*) guarantee, recorded in
-        ``metadata["solve_path"]["coarsen"]``.
+        (:data:`STAGE_EPSILON`) first, spread its optimum onto the resolved
+        grid (:func:`map_solution_to_grid`) and warm-start the fine solve
+        from that primal seed.  Identical optimum, typically far fewer
+        simplex iterations.  Degrades to "direct" when the resolved grid is
+        not meaningfully finer than the geometric stage; solves cold when
+        no warm-start capable backend is available.
 
     Per-stage wall time, iteration counts and warm-start provenance are
     recorded under ``metadata["solve_path"]`` for every strategy.
@@ -785,10 +708,6 @@ def solve_time_indexed_lp(
         raise ValueError(
             f"unknown solve strategy {strategy!r}; expected one of {SOLVE_STRATEGIES}"
         )
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown solver backend {backend!r}; expected one of {BACKEND_NAMES}"
-        )
     grid = resolve_grid(
         instance,
         grid=grid,
@@ -798,40 +717,42 @@ def solve_time_indexed_lp(
         horizon_slack=horizon_slack,
     )
 
-    if strategy == "direct":
-        lp, bundle, result = _solve_direct(
-            instance, grid, solver_method=solver_method, time_limit=time_limit
-        )
-        solve_path: Dict[str, object] = {
-            "strategy": "direct",
-            "stages": [_stage_entry("direct", grid, result, warm_start=False)],
-        }
-        return _package_solution(
-            instance, grid, lp, bundle, result, solver_method, solve_path
-        )
-
-    # Both staged strategies start from the cheap geometric grid.
-    check_positive(stage_epsilon, "stage_epsilon")
-    coarse_grid = TimeGrid.geometric(grid.horizon, stage_epsilon)
-    if coarse_grid.num_slots >= grid.num_slots:
+    solve_path: Dict[str, object] = {"strategy": strategy}
+    if strategy == "refine":
+        coarse_grid = TimeGrid.geometric(grid.horizon, STAGE_EPSILON)
+        if coarse_grid.num_slots < grid.num_slots:
+            return _solve_refined(
+                instance,
+                grid,
+                coarse_grid,
+                solver_method=solver_method,
+                time_limit=time_limit,
+            )
         # The target grid is already as coarse as the stage — staging would
         # only add overhead.  Solve directly but record why.
-        lp, bundle, result = _solve_direct(
-            instance, grid, solver_method=solver_method, time_limit=time_limit
+        solve_path["degraded_to"] = "direct"
+        solve_path["reason"] = (
+            f"coarse stage ({coarse_grid.num_slots} slots) not cheaper than "
+            f"target grid ({grid.num_slots} slots)"
         )
-        solve_path = {
-            "strategy": strategy,
-            "degraded_to": "direct",
-            "reason": (
-                f"coarse stage ({coarse_grid.num_slots} slots) not cheaper than "
-                f"target grid ({grid.num_slots} slots)"
-            ),
-            "stages": [_stage_entry("direct", grid, result, warm_start=False)],
-        }
-        return _package_solution(
-            instance, grid, lp, bundle, result, solver_method, solve_path
-        )
+    lp, bundle, result = _solve_direct(
+        instance, grid, solver_method=solver_method, time_limit=time_limit
+    )
+    solve_path["stages"] = [_stage_entry("direct", grid, result, warm_start=False)]
+    return _package_solution(
+        instance, grid, lp, bundle, result, solver_method, solve_path
+    )
 
+
+def _solve_refined(
+    instance: CoflowInstance,
+    grid: TimeGrid,
+    coarse_grid: TimeGrid,
+    *,
+    solver_method: str,
+    time_limit: Optional[float],
+) -> CoflowLPSolution:
+    """The "refine" strategy: solve *coarse_grid*, warm-start *grid* from it."""
     coarse_lp, coarse_bundle, coarse_result = _solve_direct(
         instance, coarse_grid, solver_method=solver_method, time_limit=time_limit
     )
@@ -844,84 +765,20 @@ def solve_time_indexed_lp(
         solver_method,
         {"strategy": "direct", "stages": []},
     )
-    stages = [_stage_entry("coarse", coarse_grid, coarse_result, warm_start=False)]
-
-    if strategy == "refine":
-        fine_lp, fine_bundle = build_time_indexed_lp(instance, grid)
-        seed = map_solution_to_grid(
-            coarse_solution, grid, fine_bundle, fine_lp.num_variables
-        )
-        fine_result, warm_used = _warm_solve(
-            fine_lp,
-            seed,
-            backend=backend,
-            solver_method=solver_method,
-            time_limit=time_limit,
-        )
-        stages.append(_stage_entry("fine", grid, fine_result, warm_start=warm_used))
-        solve_path = {"strategy": "refine", "stages": stages}
-        return _package_solution(
-            instance, grid, fine_lp, fine_bundle, fine_result, solver_method, solve_path
-        )
-
-    # strategy == "coarsen": adaptive grid from the stage's capacity duals.
-    cap_slots = coarse_bundle.capacity_row_slots
-    ub_duals = coarse_result.ub_duals
-    if ub_duals is None or cap_slots.size == 0:
-        binding = np.ones(coarse_grid.num_slots, dtype=bool)
-    else:
-        cap_duals = np.abs(
-            ub_duals[
-                coarse_bundle.capacity_ub_offset : coarse_bundle.capacity_ub_offset
-                + cap_slots.size
-            ]
-        )
-        slot_score = np.zeros(coarse_grid.num_slots)
-        np.maximum.at(slot_score, cap_slots, cap_duals)
-        peak = float(slot_score.max())
-        binding = (
-            slot_score > coarsen_threshold * peak
-            if peak > 0.0
-            else np.zeros(coarse_grid.num_slots, dtype=bool)
-        )
-
-    boundaries = _coarsen_boundaries(grid, coarse_grid, binding)
-    final_grid = TimeGrid.from_boundaries(boundaries)
-    if final_grid == coarse_grid:
-        final_lp, final_bundle, final_result = (
-            coarse_lp,
-            coarse_bundle,
-            coarse_result,
-        )
-        warm_used = False
-    else:
-        final_lp, final_bundle = build_time_indexed_lp(instance, final_grid)
-        seed = map_solution_to_grid(
-            coarse_solution, final_grid, final_bundle, final_lp.num_variables
-        )
-        final_result, warm_used = _warm_solve(
-            final_lp,
-            seed,
-            backend=backend,
-            solver_method=solver_method,
-            time_limit=time_limit,
-        )
-        stages.append(
-            _stage_entry("adaptive", final_grid, final_result, warm_start=warm_used)
-        )
+    fine_lp, fine_bundle = build_time_indexed_lp(instance, grid)
+    seed = map_solution_to_grid(
+        coarse_solution, grid, fine_bundle, fine_lp.num_variables
+    )
+    fine_result, warm_used = _warm_solve(
+        fine_lp, seed, solver_method=solver_method, time_limit=time_limit
+    )
     solve_path = {
-        "strategy": "coarsen",
-        "stages": stages,
-        "coarsen": {
-            "epsilon": float(stage_epsilon),
-            "guarantee_factor": 1.0 + float(stage_epsilon),
-            "dual_threshold": float(coarsen_threshold),
-            "slots_fine": int(grid.num_slots),
-            "slots_coarse": int(coarse_grid.num_slots),
-            "slots_final": int(final_grid.num_slots),
-            "binding_slots": int(np.count_nonzero(binding)),
-        },
+        "strategy": "refine",
+        "stages": [
+            _stage_entry("coarse", coarse_grid, coarse_result, warm_start=False),
+            _stage_entry("fine", grid, fine_result, warm_start=warm_used),
+        ],
     }
     return _package_solution(
-        instance, final_grid, final_lp, final_bundle, final_result, solver_method, solve_path
+        instance, grid, fine_lp, fine_bundle, fine_result, solver_method, solve_path
     )

@@ -25,6 +25,8 @@ from repro.fabric.chaos import (
 )
 from repro.fabric.leases import Lease, LeaseManager, arbitrate
 from repro.fabric.worker import (
+    BARRIER_ENV,
+    StartBarrier,
     WorkerExit,
     WorkerReport,
     launch_workers,
@@ -33,6 +35,7 @@ from repro.fabric.worker import (
 )
 
 __all__ = [
+    "BARRIER_ENV",
     "CHAOS_ENV",
     "KILLED_EXIT_CODE",
     "ChaosFault",
@@ -40,6 +43,7 @@ __all__ = [
     "ChaosSpec",
     "Lease",
     "LeaseManager",
+    "StartBarrier",
     "arbitrate",
     "WorkerExit",
     "WorkerReport",

@@ -30,7 +30,8 @@ shared store directory:
 
 :func:`launch_workers` is the local supervisor behind
 ``repro sweep --launch N``: it spawns N worker processes (propagating any
-chaos spec through the environment) and waits for the fleet to drain.
+chaos spec and a :class:`StartBarrier` through the environment) and waits
+for the fleet to drain.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from repro.experiments.sweep import (
 from repro.fabric.chaos import CHAOS_ENV, ChaosInjector, ChaosSpec
 from repro.fabric.leases import LeaseManager
 from repro.store import ResultStore
-from repro.utils.io import atomic_write_json
+from repro.utils.io import atomic_write_json, atomic_write_text, scratch_dir
 from repro.utils.retry import Backoff
 from repro.utils.timing import report_stamp
 
@@ -95,6 +96,57 @@ class WorkerReport:
             "complete": self.complete,
             "created": report_stamp(),
         }
+
+
+#: Environment variable through which :func:`launch_workers` hands its
+#: children the fleet's start barrier (``SIZE:DIRECTORY``).
+BARRIER_ENV = "REPRO_START_BARRIER"
+
+#: How long a worker waits at the start barrier for missing siblings.
+BARRIER_TIMEOUT_SECONDS = 60.0
+
+
+@dataclass(frozen=True)
+class StartBarrier:
+    """Rendezvous of a supervised fleet before anyone's first claim.
+
+    Without it the worker that finishes starting up first can drain a small
+    sweep before its siblings claim anything, so what each worker does —
+    and whether a chaos fault keyed to one worker fires at all — would
+    depend on process start-up order.  Every worker registers a file in
+    *directory* and waits until *size* workers have.  A sibling that never
+    arrives (it crashed while starting) only delays the fleet by
+    :data:`BARRIER_TIMEOUT_SECONDS`: the barrier is about fairness, never
+    correctness.
+    """
+
+    directory: Path
+    size: int
+
+    def render(self) -> str:
+        return f"{self.size}:{self.directory}"
+
+    @classmethod
+    def from_env(cls) -> Optional["StartBarrier"]:
+        """The barrier carried by ``REPRO_START_BARRIER``, if any."""
+        raw = os.environ.get(BARRIER_ENV)
+        if not raw:
+            return None
+        size, _, directory = raw.partition(":")
+        return cls(directory=Path(directory), size=int(size))
+
+    def wait(self, worker_id: str) -> None:
+        """Register *worker_id* and wait until the whole fleet has."""
+        atomic_write_text(self.directory / f"{worker_id}.ready", worker_id)
+        # A short poll: siblings that wait start claiming at most this much
+        # later than the last one to arrive.
+        poller = Backoff(retries=0, base=0.01, factor=1.0, jitter=0.0)
+        deadline = time.perf_counter() + BARRIER_TIMEOUT_SECONDS
+        while (
+            len(list(self.directory.glob("*.ready"))) < self.size
+            and time.perf_counter() < deadline
+        ):
+            poller.sleep(0)
 
 
 def _resolved(store: ResultStore, unit: SweepUnit) -> bool:
@@ -182,6 +234,7 @@ def run_worker(
     poll_seconds: float = 0.2,
     steal: bool = True,
     max_seconds: Optional[float] = None,
+    barrier: Optional[StartBarrier] = None,
 ) -> WorkerReport:
     """Run one fleet member of *spec* against *store* until coverage.
 
@@ -189,7 +242,8 @@ def run_worker(
     failure-quarantined), or when *max_seconds* elapses.  Safe to run any
     number of workers concurrently on one store — and safe to ``SIGKILL``
     any of them at any moment: at most the killed worker's in-flight chunk
-    is re-solved by a survivor after its lease expires.
+    is re-solved by a survivor after its lease expires.  With a *barrier*
+    the worker waits for its fleet before the first claim.
     """
     started = time.perf_counter()
     instances = [ispec.build() for ispec in spec.instances]
@@ -200,6 +254,8 @@ def run_worker(
     injector = ChaosInjector(spec=chaos or ChaosSpec(), worker_id=worker_id)
     report = WorkerReport(worker_id=worker_id)
     poller = Backoff(retries=0, base=poll_seconds, factor=1.0, jitter=0.0)
+    if barrier is not None:
+        barrier.wait(worker_id)
 
     while True:
         unresolved = [
@@ -338,9 +394,11 @@ def launch_workers(
 
     Workers are named ``w0..w{count-1}``; the chaos spec (if any) travels
     through :data:`~repro.fabric.chaos.CHAOS_ENV` so per-worker fault
-    filters apply inside the children.  The supervisor never restarts a
-    dead worker — crash recovery is the *surviving* workers' job (expired
-    leases), which is exactly what the chaos smoke asserts.
+    filters apply inside the children, and a fresh :class:`StartBarrier`
+    through :data:`BARRIER_ENV` so no worker claims before all *count* have
+    started.  The supervisor never restarts a dead worker — crash recovery
+    is the *surviving* workers' job (expired leases), which is exactly what
+    the chaos smoke asserts.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -351,43 +409,47 @@ def launch_workers(
     )
     if chaos:
         env[CHAOS_ENV] = chaos.render()
-    procs = []
-    for index in range(count):
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "sweep",
-            str(spec_path),
-            "--store",
-            str(store_root),
-            "--worker",
-            f"w{index}",
-            "--ttl",
-            str(ttl),
-            *extra_args,
-        ]
-        procs.append(
-            subprocess.Popen(
-                command,
-                env=env,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.STDOUT,
-                text=True,
+    with scratch_dir(prefix="repro-barrier-") as barrier_dir:
+        env[BARRIER_ENV] = StartBarrier(directory=barrier_dir, size=count).render()
+        procs = []
+        for index in range(count):
+            command = [
+                sys.executable,
+                "-m",
+                "repro",
+                "sweep",
+                str(spec_path),
+                "--store",
+                str(store_root),
+                "--worker",
+                f"w{index}",
+                "--ttl",
+                str(ttl),
+                *extra_args,
+            ]
+            procs.append(
+                subprocess.Popen(
+                    command,
+                    env=env,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.STDOUT,
+                    text=True,
+                )
             )
-        )
-    exits: List[WorkerExit] = []
-    for index, proc in enumerate(procs):
-        try:
-            out, _ = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            out, _ = proc.communicate()
-        exits.append(
-            WorkerExit(
-                worker_id=f"w{index}", returncode=proc.returncode, output=out or ""
+        exits: List[WorkerExit] = []
+        for index, proc in enumerate(procs):
+            try:
+                out, _ = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                out, _ = proc.communicate()
+            exits.append(
+                WorkerExit(
+                    worker_id=f"w{index}",
+                    returncode=proc.returncode,
+                    output=out or "",
+                )
             )
-        )
     return exits
 
 

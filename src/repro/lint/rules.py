@@ -1,4 +1,4 @@
-"""The built-in ``repro lint`` rules (R001–R008).
+"""The built-in ``repro lint`` rules (R001–R007, R009, R010).
 
 Each rule encodes one invariant a previous PR established at runtime; the
 ``rationale`` field records which.  File-scoped rules get a
@@ -490,58 +490,6 @@ def check_broad_except(ctx: FileContext) -> Iterator[Finding]:
 
 
 # --------------------------------------------------------------------------- #
-# R008 — no deprecated shims
-# --------------------------------------------------------------------------- #
-_DEPRECATED = {"solve_coflow_schedule", "SchedulingOutcome"}
-
-
-@register_rule(
-    "R008",
-    "no-deprecated-shims",
-    description=(
-        "solve_coflow_schedule / SchedulingOutcome are external "
-        "compatibility shims; inside src/ everything dispatches through "
-        "repro.api (solve / SolveReport)"
-    ),
-    rationale=(
-        "PR 1: the unified API is the single dispatch surface; internal "
-        "shim usage would let capability flags and report semantics drift"
-    ),
-    allowed_paths=(
-        "__init__.py",
-        "core/__init__.py",
-        "core/scheduler.py",
-        "api/report.py",
-    ),
-)
-def check_deprecated_shims(ctx: FileContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in _DEPRECATED:
-                    yield ctx.finding(
-                        node,
-                        "R008",
-                        f"import of deprecated shim '{alias.name}'; use "
-                        "repro.api.solve / SolveReport inside src/",
-                    )
-        elif isinstance(node, ast.Name) and node.id in _DEPRECATED:
-            yield ctx.finding(
-                node,
-                "R008",
-                f"use of deprecated shim '{node.id}'; use repro.api.solve "
-                "/ SolveReport inside src/",
-            )
-        elif isinstance(node, ast.Attribute) and node.attr in _DEPRECATED:
-            yield ctx.finding(
-                node,
-                "R008",
-                f"use of deprecated shim '{node.attr}'; use repro.api.solve "
-                "/ SolveReport inside src/",
-            )
-
-
-# --------------------------------------------------------------------------- #
 # R009 — no bare sleep / ad-hoc retry
 # --------------------------------------------------------------------------- #
 @register_rule(
@@ -586,8 +534,8 @@ def check_bare_sleep(ctx: FileContext) -> Iterator[Finding]:
         "a SolverBackend (or the solve_lp wrapper on top of it)"
     ),
     rationale=(
-        "PR 10: the staged solve pipeline's warm starts, dual extraction "
-        "and caching discipline live in the backend layer; a direct engine "
+        "PR 10: the staged solve pipeline's warm starts and the caching "
+        "discipline live in the backend layer; a direct engine "
         "call bypasses result normalization, the optimal-only cache rule "
         "and the HIGHS_AVAILABLE fallback"
     ),
@@ -654,7 +602,6 @@ BUILTIN_RULES = (
     "R005",
     "R006",
     "R007",
-    "R008",
     "R009",
     "R010",
 )

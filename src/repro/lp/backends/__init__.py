@@ -8,7 +8,7 @@ Public surface:
 * :class:`LinprogBackend` — always-available :func:`scipy.optimize.linprog`
   wrapper;
 * :class:`PersistentHighsBackend` / :class:`PersistentHighsLP` — resident
-  HiGHS models with primal warm starts, basis snapshot/restore and duals;
+  HiGHS models with primal warm starts and basis snapshot/restore;
 * :func:`get_backend` — name-based selection with automatic fallback to
   :class:`LinprogBackend` when the in-process HiGHS API is unavailable.
 
@@ -41,7 +41,7 @@ BACKEND_NAMES = ("auto", "linprog", "persistent-highs")
 def get_backend(name: str = "auto", *, method: str = DEFAULT_METHOD) -> SolverBackend:
     """Resolve a backend selector to a concrete :class:`SolverBackend`.
 
-    ``"auto"`` prefers :class:`PersistentHighsBackend` (warm starts, duals)
+    ``"auto"`` prefers :class:`PersistentHighsBackend` (warm starts)
     and silently falls back to :class:`LinprogBackend` when scipy's private
     HiGHS API is not importable — callers never need to guard on
     ``HIGHS_AVAILABLE`` themselves.  ``"persistent-highs"`` requested

@@ -7,8 +7,8 @@ through one of two interchangeable backends:
   wrapper around :func:`scipy.optimize.linprog` (HiGHS), preserving the exact
   semantics ``repro.lp.solver.solve_lp`` has had since PR 1;
 * :class:`~repro.lp.backends.highs.PersistentHighsBackend` — resident HiGHS
-  models through scipy's in-process API, supporting primal warm starts,
-  basis snapshot/restore and dual extraction.
+  models through scipy's in-process API, supporting primal warm starts and
+  basis snapshot/restore.
 
 Both consume an :class:`LPSpec` (the solver-agnostic standard form an
 assembled :class:`~repro.lp.model.LinearProgram` reduces to) and produce a
@@ -39,8 +39,7 @@ class LPSpec:
     Minimise ``c @ x`` subject to ``a_ub @ x <= b_ub``, ``a_eq @ x == b_eq``
     and ``col_lower <= x <= col_upper``.  Either constraint block may be
     absent (``None``).  The row order inside each block is the emission
-    order of the originating :class:`~repro.lp.model.LinearProgram`, which
-    is what dual-guided coarsening relies on to identify capacity rows.
+    order of the originating :class:`~repro.lp.model.LinearProgram`.
     """
 
     c: np.ndarray
@@ -84,8 +83,7 @@ class LPSpec:
         """One stacked ``(matrix, row_lower, row_upper)`` triple.
 
         Inequality rows come first, equality rows second — the fixed order
-        every backend uses, so row duals can always be split back into
-        ``(ub_duals, eq_duals)`` by row count alone.
+        every backend uses.
         """
         matrices = []
         lower_parts = []
@@ -110,13 +108,7 @@ class LPSpec:
 
 @dataclass
 class BackendSolution:
-    """What one backend solve produced, independent of the engine.
-
-    ``ub_duals`` / ``eq_duals`` are the row duals (marginals) of the two
-    constraint blocks when the backend could extract them; their sign
-    convention is the backend's own, so consumers compare magnitudes
-    (dual-guided coarsening only asks "is this row binding?").
-    """
+    """What one backend solve produced, independent of the engine."""
 
     status: LPStatus
     objective: float
@@ -125,8 +117,6 @@ class BackendSolution:
     message: str = ""
     backend: str = ""
     simplex_iterations: Optional[int] = None
-    ub_duals: Optional[np.ndarray] = None
-    eq_duals: Optional[np.ndarray] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -145,13 +135,10 @@ class SolverBackend(Protocol):
         Whether :meth:`solve` can exploit ``warm_primal``; backends that
         cannot must silently ignore it (a warm start is an optimization,
         never a semantic change).
-    supports_duals:
-        Whether solutions carry row duals.
     """
 
     name: str
     supports_warm_start: bool
-    supports_duals: bool
 
     def solve(
         self,

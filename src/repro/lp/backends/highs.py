@@ -17,9 +17,8 @@ Two distinct warm-start mechanisms are exposed:
   first run; HiGHS crosses over from the seed instead of solving cold.
 
 Basis snapshot/restore (:meth:`~PersistentHighsLP.basis_snapshot` /
-:meth:`~PersistentHighsLP.restore_basis`) and row-dual extraction
-(:attr:`~PersistentHighsLP.row_duals`) round out what dual-guided slot
-coarsening needs.
+:meth:`~PersistentHighsLP.restore_basis`) lets a caller return to an
+earlier basis between delta re-solves.
 
 This intentionally leans on a private scipy module; everything degrades
 gracefully.  When the import fails (``HIGHS_AVAILABLE`` is False) callers
@@ -196,11 +195,6 @@ class PersistentHighsLP:
         return float(self._highs.getInfo().objective_function_value)
 
     @property
-    def row_duals(self) -> np.ndarray:
-        """Row duals of the most recent run (for dual-guided coarsening)."""
-        return np.asarray(self._highs.getSolution().row_dual, dtype=float)
-
-    @property
     def simplex_iterations(self) -> int:
         """Simplex iterations of the most recent run (warm-start telemetry)."""
         return int(self._highs.getInfo().simplex_iteration_count)
@@ -255,7 +249,6 @@ class PersistentHighsBackend:
 
     name = "persistent-highs"
     supports_warm_start = True
-    supports_duals = True
 
     def __init__(self) -> None:
         if not HIGHS_AVAILABLE:
@@ -290,14 +283,9 @@ class PersistentHighsBackend:
         if status is LPStatus.OPTIMAL:
             x = np.asarray(model._highs.getSolution().col_value, dtype=float)
             objective = model.objective
-            duals = model.row_duals
-            ub_duals = duals[: spec.num_ub_rows]
-            eq_duals = duals[spec.num_ub_rows :]
         else:
             x = np.empty(0)
             objective = float("nan")
-            ub_duals = None
-            eq_duals = None
 
         return BackendSolution(
             status=status,
@@ -307,6 +295,4 @@ class PersistentHighsBackend:
             message=model._highs.modelStatusToString(raw_status),
             backend=self.name,
             simplex_iterations=model.simplex_iterations,
-            ub_duals=ub_duals,
-            eq_duals=eq_duals,
         )

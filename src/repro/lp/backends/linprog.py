@@ -22,13 +22,11 @@ from repro.lp.result import LPStatus
 class LinprogBackend:
     """Stateless one-shot solves through :func:`scipy.optimize.linprog`.
 
-    No warm-start support (scipy's wrapper exposes neither basis injection
-    nor a primal starting point), but HiGHS marginals are surfaced as row
-    duals, which is all dual-guided coarsening needs.
+    No warm-start support: scipy's wrapper exposes neither basis injection
+    nor a primal starting point.
     """
 
     supports_warm_start = False
-    supports_duals = True
 
     def __init__(self, method: str = DEFAULT_METHOD) -> None:
         self.method = method
@@ -72,8 +70,6 @@ class LinprogBackend:
             x = np.empty(0)
             objective = float("nan")
 
-        ub_duals = _marginals(getattr(scipy_result, "ineqlin", None))
-        eq_duals = _marginals(getattr(scipy_result, "eqlin", None))
         iterations = getattr(scipy_result, "nit", None)
 
         return BackendSolution(
@@ -84,15 +80,4 @@ class LinprogBackend:
             message=str(scipy_result.message),
             backend=self.name,
             simplex_iterations=None if iterations is None else int(iterations),
-            ub_duals=ub_duals,
-            eq_duals=eq_duals,
         )
-
-
-def _marginals(block) -> Optional[np.ndarray]:
-    if block is None:
-        return None
-    marginals = getattr(block, "marginals", None)
-    if marginals is None:
-        return None
-    return np.asarray(marginals, dtype=float)

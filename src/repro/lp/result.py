@@ -52,9 +52,6 @@ class LPResult:
     simplex_iterations:
         Simplex iterations the backend spent, when it reported them
         (warm-start telemetry: a seeded solve should need far fewer).
-    ub_duals, eq_duals:
-        Row duals of the inequality / equality blocks when the backend
-        extracted them (dual-guided coarsening reads the capacity rows).
     """
 
     status: LPStatus
@@ -64,8 +61,6 @@ class LPResult:
     message: str = ""
     metadata: Dict[str, object] = field(default_factory=dict)
     simplex_iterations: Optional[int] = None
-    ub_duals: Optional[np.ndarray] = None
-    eq_duals: Optional[np.ndarray] = None
 
     @property
     def is_optimal(self) -> bool:

@@ -5,8 +5,8 @@ to optimality, just more slowly.  Since the backend split this module no
 longer talks to a solver engine directly — it drives a
 :class:`~repro.lp.backends.linprog.LinprogBackend` (the engine-import-free
 layer above it owns caching and the ``require_optimal`` contract).  Staged
-solves that need warm starts or duals reach for
-:func:`repro.lp.backends.get_backend` instead.
+solves that need warm starts reach for :func:`repro.lp.backends.get_backend`
+instead.
 
 Warm starting
 -------------
@@ -229,8 +229,6 @@ def solve_lp(
             message=solution.message,
             metadata=program.size_summary(),
             simplex_iterations=solution.simplex_iterations,
-            ub_duals=solution.ub_duals,
-            eq_duals=solution.eq_duals,
         )
     else:
         result = LPResult.failed(solution.status, message=solution.message)

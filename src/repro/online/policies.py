@@ -21,7 +21,7 @@ incremental re-solve    on every arrival, re-prioritize all released
                         coflows by *remaining* standalone time / weight.
                         The remaining standalone times are max-concurrent-
                         flow LP solves through the warm-started persistent
-                        HiGHS models of :mod:`repro.lp.persistent` (the
+                        HiGHS models of :mod:`repro.lp.backends.highs` (the
                         allocator memoizes per residual signature), and the
                         schedule is executed by the incremental simulator.
 non-clairvoyant WSJF    the static weighted-SJF baseline: one full-demand

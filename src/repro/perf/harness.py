@@ -19,9 +19,8 @@ Scenarios
     implementations produce the same completion times.
 ``lp_solve``
     The staged solve pipeline: ``strategy="direct"`` vs ``"refine"``
-    (geometric stage + warm-started fine solve) vs ``"coarsen"``
-    (dual-guided adaptive grid) on fine-uniform grids, tracking per-stage
-    solve seconds and simplex iterations.
+    (geometric stage + warm-started fine solve) on fine-uniform grids,
+    tracking per-stage solve seconds and simplex iterations.
 ``shared_lp_batch``
     Wall time of the batch runner with shared-LP reuse and the solver
     warm-start cache.
@@ -182,13 +181,11 @@ def _stage_totals(solution) -> Tuple[float, Optional[int], bool]:
 
 
 def bench_lp_solve(*, quick: bool = False, repeats: int = 1) -> Dict:
-    """Direct vs refine vs coarsen solves on fine-uniform grids.
+    """Direct vs refine solves on fine-uniform grids.
 
     The refine speedup is measured on *solver* seconds (the summed
     per-stage ``solve_seconds``) — the quantity the staged pipeline
-    attacks; assembly time is the ``lp_build`` scenario's concern.  The
-    coarsen rows additionally record the relative objective gap against
-    the direct optimum and the retained (1+ε) guarantee.
+    attacks; assembly time is the ``lp_build`` scenario's concern.
     """
     from repro.core.timeindexed import solve_time_indexed_lp
 
@@ -211,7 +208,7 @@ def bench_lp_solve(*, quick: bool = False, repeats: int = 1) -> Dict:
 
         solutions: Dict[str, object] = {}
         totals: Dict[str, Tuple[float, Optional[int], bool]] = {}
-        for strategy in ("direct", "refine", "coarsen"):
+        for strategy in ("direct", "refine"):
             best: Optional[Tuple[float, Optional[int], bool]] = None
             solution = None
             for _ in range(max(repeats, 1)):
@@ -224,18 +221,9 @@ def bench_lp_solve(*, quick: bool = False, repeats: int = 1) -> Dict:
             solutions[strategy] = solution
             totals[strategy] = best
 
-        direct, refine, coarsen = (
-            solutions["direct"],
-            solutions["refine"],
-            solutions["coarsen"],
-        )
+        direct, refine = solutions["direct"], solutions["refine"]
         direct_seconds, direct_iters, _ = totals["direct"]
         refine_seconds, refine_iters, refine_warm = totals["refine"]
-        coarsen_seconds, coarsen_iters, _ = totals["coarsen"]
-        coarsen_info = coarsen.metadata["solve_path"].get("coarsen", {})
-        rel_gap = abs(coarsen.objective - direct.objective) / max(
-            abs(direct.objective), 1e-12
-        )
         cases.append(
             {
                 "case": f"{model}/uniform(L={slot_length:g})",
@@ -244,29 +232,17 @@ def bench_lp_solve(*, quick: bool = False, repeats: int = 1) -> Dict:
                 "slots": direct.grid.num_slots,
                 "solve_seconds_direct": direct_seconds,
                 "solve_seconds_refine": refine_seconds,
-                "solve_seconds_coarsen": coarsen_seconds,
                 "simplex_iterations_direct": direct_iters,
                 "simplex_iterations_refine": refine_iters,
-                "simplex_iterations_coarsen": coarsen_iters,
                 "refine_warm_start": refine_warm,
                 "solve_speedup_refine": (
                     direct_seconds / refine_seconds if refine_seconds > 0 else 0.0
                 ),
-                "solve_speedup_coarsen": (
-                    direct_seconds / coarsen_seconds if coarsen_seconds > 0 else 0.0
-                ),
                 "objective_direct": float(direct.objective),
                 "objective_refine": float(refine.objective),
-                "objective_coarsen": float(coarsen.objective),
                 "refine_objective_matches": bool(
                     abs(refine.objective - direct.objective)
                     <= 1e-6 * max(abs(direct.objective), 1.0)
-                ),
-                "coarsen_rel_gap": rel_gap,
-                "coarsen_slots_final": coarsen_info.get("slots_final"),
-                "coarsen_guarantee_factor": coarsen_info.get("guarantee_factor"),
-                "coarsen_within_guarantee": bool(
-                    1.0 + rel_gap <= coarsen_info.get("guarantee_factor", 1.0) + 1e-9
                 ),
             }
         )
@@ -279,9 +255,6 @@ def bench_lp_solve(*, quick: bool = False, repeats: int = 1) -> Dict:
             "target_speedup": LP_SOLVE_TARGET_SPEEDUP,
             "meets_target": _geomean(speedups) >= LP_SOLVE_TARGET_SPEEDUP,
             "all_refine_match": all(c["refine_objective_matches"] for c in cases),
-            "all_coarsen_within_guarantee": all(
-                c["coarsen_within_guarantee"] for c in cases
-            ),
         },
     }
 
@@ -663,7 +636,6 @@ def compare_reports(previous: Dict, current: Dict) -> Dict:
                 "solve_seconds",
                 "solve_seconds_direct",
                 "solve_seconds_refine",
-                "solve_seconds_coarsen",
             ):
                 if seconds_key in cur_case and prev_case.get(seconds_key):
                     row[f"{seconds_key}_ratio"] = (
@@ -709,10 +681,10 @@ def format_report(report: Dict) -> str:
 
     solve = scenarios.get("lp_solve")
     if solve:
-        lines.append("Staged solve pipeline (direct vs refine vs coarsen)")
+        lines.append("Staged solve pipeline (direct vs refine)")
         lines.append(
             f"{'case':<32s} {'slots':>5s} {'direct(s)':>9s} {'refine(s)':>9s} "
-            f"{'speedup':>8s} {'match':>5s} {'coarsen(s)':>10s} {'gap':>6s}"
+            f"{'speedup':>8s} {'match':>5s}"
         )
         for c in solve["cases"]:
             lines.append(
@@ -720,9 +692,7 @@ def format_report(report: Dict) -> str:
                 f"{c['solve_seconds_direct']:>9.3f} "
                 f"{c['solve_seconds_refine']:>9.3f} "
                 f"{c['solve_speedup_refine']:>7.2f}x "
-                f"{'yes' if c['refine_objective_matches'] else 'NO':>5s} "
-                f"{c['solve_seconds_coarsen']:>10.3f} "
-                f"{c['coarsen_rel_gap'] * 100:>5.1f}%"
+                f"{'yes' if c['refine_objective_matches'] else 'NO':>5s}"
             )
         s = solve["summary"]
         verdict = "PASS" if s["meets_target"] else "FAIL"
@@ -730,9 +700,7 @@ def format_report(report: Dict) -> str:
             f"  -> geomean refine speedup {s['geomean_solve_speedup']:.2f}x "
             f"(target {s['target_speedup']:.1f}x): {verdict}; "
             f"refine objectives match: "
-            f"{'yes' if s['all_refine_match'] else 'NO'}; "
-            f"coarsen within guarantee: "
-            f"{'yes' if s['all_coarsen_within_guarantee'] else 'NO'}"
+            f"{'yes' if s['all_refine_match'] else 'NO'}"
         )
         lines.append("")
 

@@ -46,6 +46,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.coflow.instance import CoflowInstance, FlowRef, TransmissionModel
+from repro.network.graph import NetworkGraph
 from repro.lp.backends import (
     LinprogBackend,
     LPSpec,
@@ -112,8 +113,7 @@ class _FreePathTemplate:
     place.
     """
 
-    def __init__(self, instance: CoflowInstance, active_refs: Sequence[FlowRef]) -> None:
-        graph = instance.graph
+    def __init__(self, graph: NetworkGraph, active_refs: Sequence[FlowRef]) -> None:
         num_edges = graph.num_edges
         k = len(active_refs)
         n = 1 + k * num_edges  # alpha plus y[a, e]
@@ -293,7 +293,11 @@ class RateAllocator:
     """Per-instance vectorized allocation engine (see module docstring)."""
 
     def __init__(self, instance: CoflowInstance) -> None:
-        self.instance = instance
+        # Only what allocation reads is kept, never the instance itself: the
+        # allocator is the value of a weak-keyed cache entry for *instance*,
+        # and a strong reference back would keep every instance alive.
+        self.graph = instance.graph
+        self.demands = instance.demands()
         self.num_flows = instance.num_flows
         self.num_edges = instance.graph.num_edges
         self.free_path = instance.model is TransmissionModel.FREE_PATH
@@ -302,7 +306,11 @@ class RateAllocator:
             np.nonzero(coflow_of_flow == j)[0]
             for j in range(instance.num_coflows)
         ]
-        if not self.free_path:
+        if self.free_path:
+            self._coflow_refs: List[Tuple[FlowRef, ...]] = [
+                instance.flows_of(j) for j in range(instance.num_coflows)
+            ]
+        else:
             inc_flows, inc_edges = instance.path_edge_incidence()
             self._inc_flows = inc_flows
             self._inc_edges = inc_edges
@@ -375,7 +383,7 @@ class RateAllocator:
         template = self._templates.get(key)
         if template is None:
             template = _FreePathTemplate(
-                self.instance, [refs_by_global[f] for f in key]
+                self.graph, [refs_by_global[f] for f in key]
             )
             self._templates[key] = template
         alpha, y = template.solve(remaining[active], residual)
@@ -397,7 +405,7 @@ class RateAllocator:
         """Fastest-completion allocation of one coflow on *residual*."""
         cand = self._coflow_flow_idx[coflow_index]
         if self.free_path:
-            refs = self.instance.flows_of(coflow_index)
+            refs = self._coflow_refs[coflow_index]
             return self._free_path_core(
                 cand, remaining, residual, {r.global_index: r for r in refs}
             )
@@ -415,8 +423,8 @@ class RateAllocator:
         self, coflow_index: int, remaining: Optional[np.ndarray] = None
     ) -> float:
         if remaining is None:
-            remaining = self.instance.demands()
-        residual = self.instance.graph.capacity_vector()
+            remaining = self.demands
+        residual = self.graph.capacity_vector()
         cand = self._coflow_flow_idx[coflow_index]
         rem_slice = np.ascontiguousarray(remaining[cand])
         key = (coflow_index, residual.tobytes(), rem_slice.tobytes())

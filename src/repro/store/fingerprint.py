@@ -87,6 +87,10 @@ def grid_fingerprint(grid: Optional[TimeGrid]) -> str:
 def config_fingerprint(config: SolverConfig) -> str:
     """Stable hex fingerprint of every result-affecting config field.
 
+    ``strategy`` is left out: ``"refine"`` solves the identical LP as
+    ``"direct"``, and the ``refine-equivalence`` verify invariant checks
+    that both deliver the same LP objective and the same schedule.
+
     Raises
     ------
     FingerprintError

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -118,6 +119,16 @@ def scratch_path(*, suffix: str = "", prefix: str = "repro-") -> Iterator[Path]:
             os.unlink(tmp)
         except OSError:
             pass
+
+
+@contextmanager
+def scratch_dir(*, prefix: str = "repro-") -> Iterator[Path]:
+    """A throwaway temp directory, removed with its contents on exit."""
+    path = Path(tempfile.mkdtemp(prefix=prefix))
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 def atomic_write_text(path: str | Path, text: str) -> Path:

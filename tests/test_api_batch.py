@@ -278,7 +278,7 @@ class TestStartMethodNotLocked:
 
 
 class TestSolveStrategyThreading:
-    """strategy/backend flow from SolverConfig through to the LP telemetry."""
+    """strategy flows from SolverConfig through to the LP telemetry."""
 
     def test_default_strategy_is_direct(self):
         report = api.solve(make_instances(1)[0], "lp-heuristic")
@@ -300,6 +300,13 @@ class TestSolveStrategyThreading:
     def test_config_strategy_field(self):
         config = SolverConfig(strategy="refine", slot_length=0.25)
         report = api.solve(make_instances(1)[0], "lp-heuristic", config=config)
+        assert report.solve_path["strategy"] == "refine"
+
+    def test_solve_many_honours_strategy(self):
+        # The shared LP solve_many hands to every algorithm must be solved
+        # with the configured strategy, exactly as a single solve() does.
+        config = SolverConfig(strategy="refine", slot_length=0.25)
+        (report,) = api.solve_many(make_instances(1), "lp-heuristic", config=config)
         assert report.solve_path["strategy"] == "refine"
 
     def test_baselines_have_no_solve_path(self):

@@ -13,7 +13,7 @@ from repro.api import (
 )
 from repro.api.registry import _REGISTRY
 from repro.coflow.instance import CoflowInstance, TransmissionModel
-from repro.core.scheduler import solve_coflow_schedule
+from repro.core.scheduler import CoflowScheduler
 from repro.network.topologies import swan_topology
 from repro.workloads.generator import WorkloadSpec, generate_instance
 
@@ -149,41 +149,40 @@ class TestRoundTrip:
         assert baseline.lower_bound == pytest.approx(lp.objective)
 
 
+#: The CoflowScheduler call behind each of the paper's registered algorithms.
+FACADE_OBJECTIVES = {
+    "lp-heuristic": lambda s: s.heuristic().objective,
+    "stretch": lambda s: s.stretch().objective,
+    "stretch-best": lambda s: s.best_stretch(num_samples=3).objective,
+    "stretch-average": lambda s: s.stretch_evaluation(num_samples=3).average_objective,
+}
+
+
 class TestOldVsNewEntryPoints:
-    """The deprecation shim and repro.api must agree exactly."""
+    """The CoflowScheduler façade (the older entry point) and repro.api
+    must agree exactly."""
 
     @pytest.mark.parametrize(
         "algorithm", ["lp-heuristic", "stretch", "stretch-best", "stretch-average"]
     )
     def test_identical_objectives(self, algorithm, free_path_instance):
-        old = solve_coflow_schedule(
-            free_path_instance, algorithm=algorithm, rng=11, num_samples=3
-        )
+        scheduler = CoflowScheduler(free_path_instance, rng=11)
+        old = FACADE_OBJECTIVES[algorithm](scheduler)
         new = api.solve(free_path_instance, algorithm, rng=11, num_samples=3)
-        assert old.objective == pytest.approx(new.objective, rel=1e-12)
-        assert old.lower_bound == pytest.approx(new.lower_bound, rel=1e-12)
+        assert old == pytest.approx(new.objective, rel=1e-12)
+        assert scheduler.lower_bound == pytest.approx(new.lower_bound, rel=1e-12)
 
     def test_shim_forwards_solver_method(self, free_path_instance):
-        # An invalid backend must surface as an error: before the fix,
-        # solve_coflow_schedule silently dropped solver_method.
+        # api.solve must hand solver_method through the façade to the LP:
+        # an invalid method surfaces as an error, a valid one is used.
         with pytest.raises(ValueError):
-            solve_coflow_schedule(
-                free_path_instance,
-                algorithm="lp-heuristic",
-                solver_method="not-a-backend",
+            api.solve(
+                free_path_instance, "lp-heuristic", solver_method="not-a-backend"
             )
-        default = solve_coflow_schedule(free_path_instance, algorithm="lp-heuristic")
-        dual_simplex = solve_coflow_schedule(
-            free_path_instance, algorithm="lp-heuristic", solver_method="highs-ds"
+        default = api.solve(free_path_instance, "lp-heuristic")
+        dual_simplex = api.solve(
+            free_path_instance, "lp-heuristic", solver_method="highs-ds"
         )
         assert dual_simplex.lower_bound == pytest.approx(
             default.lower_bound, rel=1e-6
         )
-
-    def test_report_to_outcome_round_trip(self, free_path_instance):
-        report = api.solve(free_path_instance, "lp-heuristic")
-        outcome = report.to_outcome()
-        assert outcome.algorithm == report.algorithm
-        assert outcome.objective == report.objective
-        assert outcome.lower_bound == report.lower_bound
-        assert outcome.schedule is report.schedule

@@ -1,9 +1,13 @@
-"""Tests for the CoflowScheduler façade and solve_coflow_schedule."""
+"""Tests for the CoflowScheduler façade and the paper's algorithms via repro.api."""
 
-import numpy as np
 import pytest
 
-from repro.core.scheduler import ALGORITHMS, CoflowScheduler, solve_coflow_schedule
+from repro.api import solve
+from repro.api.report import SolveReport
+from repro.core.scheduler import CoflowScheduler
+
+#: The paper's own algorithms, all backed by CoflowScheduler.
+ALGORITHMS = ("lp-heuristic", "stretch", "stretch-average", "stretch-best")
 
 
 class TestCoflowScheduler:
@@ -20,6 +24,8 @@ class TestCoflowScheduler:
     def test_heuristic_outcome(self, example_free_path_instance):
         scheduler = CoflowScheduler(example_free_path_instance, num_slots=8)
         outcome = scheduler.heuristic()
+        assert isinstance(outcome, SolveReport)
+        assert outcome.instance is example_free_path_instance
         assert outcome.algorithm == "lp-heuristic"
         assert outcome.objective == pytest.approx(5.0)
         assert outcome.gap == pytest.approx(1.0, abs=1e-5)
@@ -49,15 +55,17 @@ class TestCoflowScheduler:
 
 
 class TestSolveCoflowSchedule:
+    """The paper's algorithms through the one entry point, repro.api.solve."""
+
     def test_unknown_algorithm_rejected(self, example_free_path_instance):
         with pytest.raises(ValueError, match="unknown algorithm"):
-            solve_coflow_schedule(example_free_path_instance, algorithm="magic")
+            solve(example_free_path_instance, "magic")
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_all_algorithms_run(self, example_free_path_instance, algorithm):
-        outcome = solve_coflow_schedule(
+        outcome = solve(
             example_free_path_instance,
-            algorithm=algorithm,
+            algorithm,
             num_slots=8,
             rng=0,
             num_samples=3,
@@ -67,15 +75,13 @@ class TestSolveCoflowSchedule:
         assert outcome.schedule is not None
 
     def test_single_path_example(self, example_single_path_instance):
-        outcome = solve_coflow_schedule(
-            example_single_path_instance, algorithm="lp-heuristic", num_slots=8
-        )
+        outcome = solve(example_single_path_instance, "lp-heuristic", num_slots=8)
         assert outcome.objective == pytest.approx(7.0)
 
     def test_stretch_average_reports_mean(self, example_free_path_instance):
-        outcome = solve_coflow_schedule(
+        outcome = solve(
             example_free_path_instance,
-            algorithm="stretch-average",
+            "stretch-average",
             num_slots=8,
             rng=3,
             num_samples=5,
@@ -85,15 +91,13 @@ class TestSolveCoflowSchedule:
         assert outcome.objective >= evaluation.best_objective - 1e-9
 
     def test_gap_infinite_for_zero_bound(self, example_free_path_instance):
-        outcome = solve_coflow_schedule(
-            example_free_path_instance, algorithm="lp-heuristic", num_slots=8
-        )
+        outcome = solve(example_free_path_instance, "lp-heuristic", num_slots=8)
         outcome.lower_bound = 0.0
         assert outcome.gap == float("inf")
 
     def test_outcomes_within_two_of_bound(self, small_swan_free_instance):
-        outcome = solve_coflow_schedule(
-            small_swan_free_instance, algorithm="stretch-best", rng=0, num_samples=5
+        outcome = solve(
+            small_swan_free_instance, "stretch-best", rng=0, num_samples=5
         )
         slack = float(small_swan_free_instance.weights.sum())
         assert outcome.objective <= 2.0 * outcome.lower_bound + slack

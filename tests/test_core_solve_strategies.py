@@ -1,17 +1,16 @@
-"""Tests for the staged solve pipeline (strategy="direct"/"refine"/"coarsen").
+"""Tests for the staged solve pipeline (strategy="direct"/"refine").
 
 ``refine`` must reproduce the direct optimum bit-for-bit in objective (it
-solves the identical fine LP, warm-started from the geometric stage);
-``coarsen`` may deviate but only inside its recorded (1+ε) guarantee band.
-Both record per-stage telemetry in ``metadata["solve_path"]``.
+solves the identical fine LP, warm-started from the geometric stage).
+Both strategies record per-stage telemetry in ``metadata["solve_path"]``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.timeindexed import (
-    DEFAULT_STAGE_EPSILON,
     SOLVE_STRATEGIES,
+    STAGE_EPSILON,
     map_solution_to_grid,
     solve_time_indexed_lp,
     suggest_horizon,
@@ -28,18 +27,12 @@ def fine_grid(instance, slot_length=0.5) -> TimeGrid:
 
 class TestStrategyValidation:
     def test_catalogue(self):
-        assert SOLVE_STRATEGIES == ("direct", "refine", "coarsen")
+        assert SOLVE_STRATEGIES == ("direct", "refine")
 
     def test_unknown_strategy_rejected(self, example_single_path_instance):
         with pytest.raises(ValueError, match="unknown solve strategy"):
             solve_time_indexed_lp(
                 example_single_path_instance, strategy="bogus"
-            )
-
-    def test_unknown_backend_rejected(self, example_single_path_instance):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            solve_time_indexed_lp(
-                example_single_path_instance, strategy="refine", backend="cplex"
             )
 
 
@@ -109,56 +102,6 @@ class TestRefineStrategy:
         assert "reason" in path
         assert len(path["stages"]) == 1
 
-    def test_stage_epsilon_validated(self, example_single_path_instance):
-        with pytest.raises(ValueError):
-            solve_time_indexed_lp(
-                example_single_path_instance,
-                strategy="refine",
-                stage_epsilon=0.0,
-            )
-
-
-class TestCoarsenStrategy:
-    def test_coarsen_within_guarantee(self, small_swan_single_instance):
-        grid = fine_grid(small_swan_single_instance)
-        direct = solve_time_indexed_lp(
-            small_swan_single_instance, grid=grid, strategy="direct"
-        )
-        coarsen = solve_time_indexed_lp(
-            small_swan_single_instance, grid=grid, strategy="coarsen"
-        )
-        info = coarsen.metadata["solve_path"]["coarsen"]
-        rel_gap = abs(coarsen.objective - direct.objective) / abs(direct.objective)
-        assert 1.0 + rel_gap <= info["guarantee_factor"] + 1e-9
-        assert info["guarantee_factor"] == pytest.approx(
-            1.0 + DEFAULT_STAGE_EPSILON
-        )
-
-    def test_coarsen_returns_adaptive_grid(self, small_swan_single_instance):
-        grid = fine_grid(small_swan_single_instance)
-        coarsen = solve_time_indexed_lp(
-            small_swan_single_instance, grid=grid, strategy="coarsen"
-        )
-        info = coarsen.metadata["solve_path"]["coarsen"]
-        # The adaptive grid the solution lives on is the recorded final one,
-        # never more slots than the requested fine grid.
-        assert coarsen.grid.num_slots == info["slots_final"]
-        assert info["slots_final"] <= info["slots_fine"]
-        assert info["slots_fine"] == grid.num_slots
-        assert 0 <= info["binding_slots"] <= info["slots_coarse"]
-
-    def test_coarsen_solution_internally_consistent(
-        self, small_swan_free_instance
-    ):
-        grid = fine_grid(small_swan_free_instance)
-        coarsen = solve_time_indexed_lp(
-            small_swan_free_instance, grid=grid, strategy="coarsen"
-        )
-        # Fraction rows sum to ~1 on the grid the solution actually uses.
-        totals = coarsen.fractions.sum(axis=1)
-        np.testing.assert_allclose(totals, 1.0, atol=1e-6)
-        assert coarsen.fractions.shape[1] == coarsen.grid.num_slots
-
 
 class TestPrimalMapping:
     def test_refine_map_identity(self, small_swan_single_instance):
@@ -189,7 +132,7 @@ class TestPrimalMapping:
         grid = fine_grid(small_swan_single_instance)
         coarse = solve_time_indexed_lp(
             small_swan_single_instance,
-            grid=TimeGrid.geometric(grid.horizon, DEFAULT_STAGE_EPSILON),
+            grid=TimeGrid.geometric(grid.horizon, STAGE_EPSILON),
             strategy="direct",
         )
         lp, bundle = build_time_indexed_lp(small_swan_single_instance, grid)

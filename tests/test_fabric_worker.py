@@ -23,13 +23,16 @@ import repro
 from repro.api import SolverConfig
 from repro.experiments.sweep import InstanceSpec, SweepSpec, run_sweep
 from repro.fabric import (
+    BARRIER_ENV,
     ChaosInjector,
     ChaosSpec,
     LeaseManager,
+    StartBarrier,
     launch_workers,
     merged_status,
     run_worker,
 )
+import repro.fabric.worker as worker_module
 from repro.fabric.chaos import CHAOS_ENV, KILLED_EXIT_CODE
 from repro.store import ResultStore, canonical_payload_bytes
 from repro.utils.retry import Backoff
@@ -263,6 +266,29 @@ def _assert_warm_rerun_is_free(spec, store_root, reference):
     assert warm.complete
     assert warm.solved == 0 and warm.hits == len(reference)
     assert store_bytes(store_root) == reference
+
+
+class TestStartBarrier:
+    def test_round_trips_through_the_environment(self, tmp_path, monkeypatch):
+        barrier = StartBarrier(directory=tmp_path, size=3)
+        monkeypatch.setenv(BARRIER_ENV, barrier.render())
+        assert StartBarrier.from_env() == barrier
+        monkeypatch.delenv(BARRIER_ENV)
+        assert StartBarrier.from_env() is None
+
+    def test_last_arrival_passes_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "BARRIER_TIMEOUT_SECONDS", 30.0)
+        (tmp_path / "w0.ready").write_text("w0")
+        start = time.perf_counter()
+        StartBarrier(directory=tmp_path, size=2).wait("w1")
+        assert time.perf_counter() - start < 10.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w0.ready", "w1.ready"]
+
+    def test_missing_sibling_only_delays(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(worker_module, "BARRIER_TIMEOUT_SECONDS", 0.05)
+        start = time.perf_counter()
+        StartBarrier(directory=tmp_path, size=2).wait("w0")
+        assert time.perf_counter() - start >= 0.05
 
 
 class TestChaosMatrix:

@@ -16,7 +16,7 @@ import pytest
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
-from repro.core.scheduler import solve_coflow_schedule
+from repro.api import solve
 from repro.core.timeindexed import solve_time_indexed_lp
 from repro.network.topologies import figure1_topology
 from repro.schedule.feasibility import check_feasibility
@@ -24,15 +24,15 @@ from repro.schedule.feasibility import check_feasibility
 
 class TestFigure234Example:
     def test_single_path_optimum_is_seven(self, example_single_path_instance):
-        outcome = solve_coflow_schedule(
-            example_single_path_instance, algorithm="lp-heuristic", num_slots=8
+        outcome = solve(
+            example_single_path_instance, "lp-heuristic", num_slots=8
         )
         assert outcome.objective == pytest.approx(7.0)
         assert outcome.lower_bound <= 7.0 + 1e-6
 
     def test_free_path_optimum_is_five(self, example_free_path_instance):
-        outcome = solve_coflow_schedule(
-            example_free_path_instance, algorithm="lp-heuristic", num_slots=8
+        outcome = solve(
+            example_free_path_instance, "lp-heuristic", num_slots=8
         )
         assert outcome.objective == pytest.approx(5.0)
         assert outcome.lower_bound == pytest.approx(5.0, abs=1e-5)
@@ -40,20 +40,20 @@ class TestFigure234Example:
     def test_free_path_strictly_better_than_single_path(
         self, example_single_path_instance, example_free_path_instance
     ):
-        sp = solve_coflow_schedule(
-            example_single_path_instance, algorithm="lp-heuristic", num_slots=8
+        sp = solve(
+            example_single_path_instance, "lp-heuristic", num_slots=8
         )
-        fp = solve_coflow_schedule(
-            example_free_path_instance, algorithm="lp-heuristic", num_slots=8
+        fp = solve(
+            example_free_path_instance, "lp-heuristic", num_slots=8
         )
         assert fp.objective < sp.objective
 
     def test_stretch_respects_two_approximation_on_example(
         self, example_free_path_instance
     ):
-        outcome = solve_coflow_schedule(
+        outcome = solve(
             example_free_path_instance,
-            algorithm="stretch-average",
+            "stretch-average",
             num_slots=8,
             rng=0,
             num_samples=30,
@@ -66,9 +66,9 @@ class TestFigure234Example:
         self, example_free_path_instance
     ):
         for algorithm in ("lp-heuristic", "stretch", "stretch-best"):
-            outcome = solve_coflow_schedule(
+            outcome = solve(
                 example_free_path_instance,
-                algorithm=algorithm,
+                algorithm,
                 num_slots=8,
                 rng=1,
                 num_samples=3,
@@ -101,7 +101,7 @@ class TestFigure1Example:
             ]
         )
         instance = CoflowInstance(graph, [pinned], model="single_path")
-        outcome = solve_coflow_schedule(instance, algorithm="lp-heuristic", num_slots=6)
+        outcome = solve(instance, "lp-heuristic", num_slots=6)
         # NY->FL carries 18 units at bandwidth 6 -> at least 3 slots.
         assert outcome.objective >= 3.0 - 1e-6
 

@@ -256,4 +256,4 @@ class TestCli:
         out = io.StringIO()
         assert main(["lint", "--list-rules"], out) == 0
         text = out.getvalue()
-        assert "R001" in text and "R008" in text and "R000" in text
+        assert "R001" in text and "R010" in text and "R000" in text

@@ -2,8 +2,8 @@
 
 Covers the backend-neutral containers (LPSpec row ordering, BackendSolution
 status), name-based selection with HiGHS fallback, parity between the two
-backends on the same spec, and the warm-start / basis / dual surface of
-the persistent HiGHS backend.
+backends on the same spec, and the warm-start / basis surface of the
+persistent HiGHS backend.
 """
 
 import numpy as np
@@ -115,7 +115,6 @@ class TestBackendSelection:
         backend = get_backend("linprog")
         assert isinstance(backend, LinprogBackend)
         assert not backend.supports_warm_start
-        assert backend.supports_duals
 
     def test_auto_falls_back_without_highs(self, monkeypatch):
         monkeypatch.setattr(backends_package, "HIGHS_AVAILABLE", False)
@@ -140,15 +139,6 @@ class TestLinprogBackend:
         solution = LinprogBackend().solve(toy_spec())
         assert solution.simplex_iterations is not None
         assert solution.simplex_iterations >= 0
-
-    def test_duals_reported(self):
-        solution = LinprogBackend().solve(eq_spec())
-        assert solution.is_optimal
-        assert solution.ub_duals is not None and solution.ub_duals.shape == (1,)
-        assert solution.eq_duals is not None and solution.eq_duals.shape == (1,)
-        # The equality row's dual is the objective's sensitivity to the
-        # RHS: d(obj)/d(rhs) = 1 here (x + y == 2, min x + y).
-        assert solution.eq_duals[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_infeasible_reported_not_raised(self):
         solution = LinprogBackend().solve(infeasible_spec())
@@ -177,12 +167,6 @@ class TestPersistentHighsBackend:
         # Seeded at the optimum, the solver verifies rather than searches.
         assert warm.simplex_iterations is not None
         assert warm.simplex_iterations <= max(cold.simplex_iterations, 1)
-
-    def test_duals_split_by_row_kind(self):
-        solution = PersistentHighsBackend().solve(eq_spec())
-        assert solution.ub_duals.shape == (1,)
-        assert solution.eq_duals.shape == (1,)
-        assert solution.eq_duals[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_infeasible_reported_not_raised(self):
         solution = PersistentHighsBackend().solve(infeasible_spec())

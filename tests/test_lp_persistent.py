@@ -1,5 +1,6 @@
-"""Tests for repro.lp.persistent (warm-started HiGHS + linprog fallback)
-and the LPSolveCache warm-start cache of repro.lp.solver.
+"""Tests for the resident HiGHS model of repro.lp.backends.highs
+(warm-started re-solves + linprog fallback) and the LPSolveCache
+warm-start cache of repro.lp.solver.
 
 The fallback coverage matters operationally: ``PersistentHighsLP`` leans on
 ``scipy.optimize._highspy``, a *private* scipy module whose layout may change
@@ -13,13 +14,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-import repro.lp.persistent as persistent_module
+import repro.lp.backends.highs as highs_module
 import repro.sim.rate_allocation as rate_allocation_module
 from repro.coflow.coflow import Coflow
 from repro.coflow.flow import Flow
 from repro.coflow.instance import CoflowInstance
 from repro.lp.model import LinearProgram
-from repro.lp.persistent import (
+from repro.lp.backends.highs import (
     HIGHS_AVAILABLE,
     PersistentHighsLP,
     make_persistent_lp,
@@ -75,7 +76,7 @@ class TestPersistentHighsLP:
 
 
 def test_make_persistent_lp_returns_none_without_highs(monkeypatch):
-    monkeypatch.setattr(persistent_module, "HIGHS_AVAILABLE", False)
+    monkeypatch.setattr(highs_module, "HIGHS_AVAILABLE", False)
     assert (
         make_persistent_lp(
             np.zeros(1),

@@ -29,13 +29,12 @@ EXPECTED_EXPORTS = [
     "weighted_completion_time",
     "CoflowLPSolution",
     "CoflowScheduler",
-    "SchedulingOutcome",
     "solve_time_indexed_lp",
     "suggest_horizon",
     "run_stretch",
     "evaluate_stretch",
     "lp_heuristic_schedule",
-    "solve_coflow_schedule",
+    "solve",
     "solve_multipath_lp",
     "online_batch_schedule",
 ]
@@ -72,7 +71,7 @@ class TestReadmeQuickstartFlow:
         )
         instance = repro.CoflowInstance(graph, [shuffle, urgent], model="free_path")
 
-        outcome = repro.solve_coflow_schedule(instance, algorithm="lp-heuristic")
+        outcome = repro.solve(instance, "lp-heuristic")
         assert outcome.lower_bound > 0
         assert outcome.objective >= outcome.lower_bound - 1e-6
         times = outcome.schedule.coflow_completion_times()
@@ -81,9 +80,7 @@ class TestReadmeQuickstartFlow:
         # behind the bulk shuffle.
         assert times[1] <= times[0] + 1e-6
 
-        stretch = repro.solve_coflow_schedule(
-            instance, algorithm="stretch-best", rng=0, num_samples=3
-        )
+        stretch = repro.solve(instance, "stretch-best", rng=0, num_samples=3)
         assert stretch.objective >= stretch.lower_bound - 1e-6
 
     def test_multipath_and_online_entry_points(self):
@@ -106,7 +103,7 @@ class TestReadmeQuickstartFlow:
             [repro.Coflow([repro.Flow("v1", "t", 1.0)], name="red")],
             model="free_path",
         )
-        outcome = repro.solve_coflow_schedule(instance, num_slots=4)
+        outcome = repro.solve(instance, num_slots=4)
         report = repro.check_feasibility(outcome.schedule)
         assert report.is_feasible
         assert repro.weighted_completion_time(outcome.schedule) == outcome.objective

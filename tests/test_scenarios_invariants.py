@@ -558,8 +558,8 @@ class TestAmplifierMarginalBugCaught:
 class TestRefineEquivalenceBugsCaught:
     """Planted staged-solve bugs: a refine path whose warm-started fine
     solve silently lands on a different objective (the exact bug a broken
-    primal-seed mapping would produce), and a coarsen path that drifts
-    outside its advertised (1+ε) band."""
+    primal-seed mapping would produce), and refine fractions that diverge
+    from direct's while the objective still matches."""
 
     def test_clean_run_passes(self, single_run):
         assert violations_of(single_run, "refine-equivalence") == []
@@ -579,25 +579,44 @@ class TestRefineEquivalenceBugsCaught:
         messages = violations_of(single_run, "refine-equivalence")
         assert messages and any("refine objective" in m for m in messages)
 
-    def test_coarsen_outside_guarantee_is_caught(self, single_run, monkeypatch):
+    def test_diverging_refine_fractions_are_caught(self, single_run, monkeypatch):
+        # Same objective, but coflow 0 is sent in the last slot: the
+        # schedule users receive changes, which the LP objective cannot see.
         real = invariants_module.solve_time_indexed_lp
 
         def buggy(instance, **kwargs):
             solution = real(instance, **kwargs)
-            if kwargs.get("strategy") == "coarsen":
-                guarantee = (
-                    solution.metadata["solve_path"]
-                    .get("coarsen", {})
-                    .get("guarantee_factor", 1.2)
-                )
-                solution = _perturbed_solution(solution, guarantee * 1.05)
+            if kwargs.get("strategy") == "refine":
+                solution = _perturbed_solution(solution, 1.0)
+                late = instance.coflow_of_flow() == 0
+                solution.fractions = solution.fractions.copy()
+                solution.fractions[late, :] = 0.0
+                solution.fractions[late, -1] = 1.0
             return solution
 
         monkeypatch.setattr(
             invariants_module, "solve_time_indexed_lp", buggy
         )
         messages = violations_of(single_run, "refine-equivalence")
-        assert messages and any("(1+ε) guarantee" in m for m in messages)
+        assert messages
+        assert not any("refine objective" in m for m in messages)
+        assert any("schedules users receive differ" in m for m in messages)
+
+    def test_infeasible_refine_schedule_is_caught(self, single_run, monkeypatch):
+        real = invariants_module.solve_time_indexed_lp
+
+        def buggy(instance, **kwargs):
+            solution = real(instance, **kwargs)
+            if kwargs.get("strategy") == "refine":
+                solution = _perturbed_solution(solution, 1.0)
+                solution.fractions = solution.fractions * 0.5
+            return solution
+
+        monkeypatch.setattr(
+            invariants_module, "solve_time_indexed_lp", buggy
+        )
+        messages = violations_of(single_run, "refine-equivalence")
+        assert any("refine: delivered" in m and "infeasible" in m for m in messages)
 
     def test_missing_solve_path_telemetry_is_caught(self, single_run, monkeypatch):
         real = invariants_module.solve_time_indexed_lp

@@ -1,5 +1,8 @@
 """Tests for the rate-allocation primitives of the continuous-time simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,3 +181,24 @@ class TestStandaloneTime:
             model=disjoint_instance.model,
         )
         assert max_concurrent_rate(scaled, 0) == pytest.approx(2.0 * base)
+
+
+class TestAllocatorCache:
+    @pytest.mark.parametrize("model", ["single_path", "free_path"])
+    def test_instance_is_freed_after_use(self, model):
+        # The per-instance allocator cache is weak-keyed; its value must not
+        # hold the instance strongly, or no instance is ever freed.
+        from repro import api
+
+        graph = paper_example_topology()
+        coflows = [
+            Coflow([Flow("s", "t", 3.0, path=("s", "v2", "t"))], name="blue"),
+            Coflow([Flow("v1", "t", 1.0, path=("v1", "t"))], name="red"),
+        ]
+        instance = CoflowInstance(graph, coflows, model=model)
+        api.solve(instance, "sebf")
+        ref = weakref.ref(instance)
+        del instance
+        gc.collect()
+        assert ref() is None
+

@@ -62,6 +62,36 @@ class TestFingerprints:
             base.replace(num_samples=3)
         )
 
+    def test_only_strategy_is_left_out_of_the_fingerprint(self):
+        # Leaving ``strategy`` out is sound: "refine" solves the identical
+        # LP as "direct", and the refine-equivalence invariant checks that
+        # both deliver the same LP objective and the same schedule.  Any
+        # other field changes results and must change the address.
+        from dataclasses import fields
+
+        from repro.schedule.timegrid import TimeGrid
+
+        changed = {
+            "grid": TimeGrid.uniform(3),
+            "num_slots": 5,
+            "slot_length": 0.5,
+            "epsilon": 0.3,
+            "rng": 7,
+            "solver_method": "highs-ds",
+            "strategy": "refine",
+            "num_samples": 3,
+            "compact": False,
+            "verify": False,
+        }
+        assert set(changed) == {f.name for f in fields(SolverConfig)}
+        base = config_fingerprint(SolverConfig())
+        unfingerprinted = {
+            name
+            for name, value in changed.items()
+            if config_fingerprint(SolverConfig(**{name: value})) == base
+        }
+        assert unfingerprinted == {"strategy"}
+
     def test_live_generator_has_no_fingerprint(self):
         with pytest.raises(FingerprintError):
             config_fingerprint(SolverConfig(rng=np.random.default_rng(0)))
